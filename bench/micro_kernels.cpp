@@ -174,6 +174,24 @@ void BM_Rewrite(benchmark::State& state) {
 }
 BENCHMARK(BM_Rewrite);
 
+void BM_RewriteDepth(benchmark::State& state) {
+  const aig::Aig& g = design("EX02");
+  for (auto _ : state) {
+    auto t = transforms::rewrite_depth(g);
+    benchmark::DoNotOptimize(t.num_ands());
+  }
+}
+BENCHMARK(BM_RewriteDepth);
+
+void BM_Rewrite3(benchmark::State& state) {
+  const aig::Aig& g = design("EX02");
+  for (auto _ : state) {
+    auto t = transforms::rewrite_k3(g);
+    benchmark::DoNotOptimize(t.num_ands());
+  }
+}
+BENCHMARK(BM_Rewrite3);
+
 void BM_Refactor(benchmark::State& state) {
   const aig::Aig& g = design("EX02");
   for (auto _ : state) {
@@ -182,6 +200,15 @@ void BM_Refactor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Refactor);
+
+void BM_Resub(benchmark::State& state) {
+  const aig::Aig& g = design("EX02");
+  for (auto _ : state) {
+    auto t = transforms::resub(g);
+    benchmark::DoNotOptimize(t.num_ands());
+  }
+}
+BENCHMARK(BM_Resub);
 
 void BM_Simulation64(benchmark::State& state) {
   const aig::Aig& g = design("EX02");

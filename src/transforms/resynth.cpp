@@ -1,7 +1,9 @@
 #include "transforms/resynth.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -35,15 +37,52 @@ bool cheaper(const CandidateCost& a, const CandidateCost& b, bool prefer_depth) 
   return a.level < b.level;
 }
 
-/// A candidate is a closure that emits the implementation through an AndFn;
-/// running it against an AndProber costs it, against the real graph builds it.
-using Recipe = std::function<Lit(const aig::AndFn&)>;
+/// A candidate implementation of one node, as plain data.  build() emits it
+/// through any AND maker: an AndProber costs it, the output graph builds it.
+struct Candidate {
+  enum class Kind : std::uint8_t {
+    And,    ///< AND(a, b)
+    Table,  ///< the cut function `table` synthesized over `leaves`
+    Copy,   ///< the existing literal a
+    Xor,    ///< XOR(a, b) as three ANDs
+  };
+  Kind kind = Kind::And;
+  bool complemented = false;  ///< the root is the complement of the above
+  std::uint8_t nvars = 0;
+  std::uint64_t table = 0;
+  std::array<Lit, aig::kTtMaxVars> leaves{};
+  Lit a = aig::kLitFalse;
+  Lit b = aig::kLitFalse;
+};
+
+template <typename Maker>
+Lit build(const Candidate& c, Maker& and_fn) {
+  Lit root = c.a;
+  switch (c.kind) {
+    case Candidate::Kind::And:
+      root = and_fn(c.a, c.b);
+      break;
+    case Candidate::Kind::Table:
+      root = aig::replay_plan(aig::synth_plan(c.table, c.nvars), and_fn,
+                              std::span<const Lit>(c.leaves.data(), c.nvars));
+      break;
+    case Candidate::Kind::Copy:
+      break;
+    case Candidate::Kind::Xor: {
+      const Lit p = and_fn(c.a, aig::lit_not(c.b));
+      const Lit q = and_fn(aig::lit_not(c.a), c.b);
+      root = aig::lit_not(and_fn(aig::lit_not(p), aig::lit_not(q)));
+      break;
+    }
+  }
+  return aig::lit_not_if(root, c.complemented);
+}
 
 /// Reconvergence-driven cut: grow from the node's fanins, expanding the leaf
 /// whose replacement by its fanins increases the leaf count least, while
 /// staying within `max_leaves`.  The result is always a *structural* cut.
-std::vector<NodeId> reconvergence_cut(const Aig& g, NodeId root, int max_leaves) {
-  std::vector<NodeId> leaves{aig::lit_var(g.fanin0(root)), aig::lit_var(g.fanin1(root))};
+void reconvergence_cut(const Aig& g, NodeId root, int max_leaves, std::vector<NodeId>& leaves) {
+  leaves.assign({aig::lit_var(g.fanin0(root)), aig::lit_var(g.fanin1(root))});
   std::sort(leaves.begin(), leaves.end());
   leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
   while (true) {
@@ -71,27 +110,72 @@ std::vector<NodeId> reconvergence_cut(const Aig& g, NodeId root, int max_leaves)
     }
     std::sort(leaves.begin(), leaves.end());
   }
-  return leaves;
 }
 
+/// Per-node scratch for reconvergence windows, allocated once per pass.
+/// Marks are generation stamps, so starting a window costs O(1) instead of
+/// clearing num_nodes()-sized arrays.
+class WindowScratch {
+ public:
+  void resize(std::size_t num_nodes) {
+    leaf_.assign(num_nodes, 0);
+    seen_.assign(num_nodes, 0);
+    valued_.assign(num_nodes, 0);
+    value_.assign(num_nodes, 0);
+  }
+
+  void next_window() {
+    if (++gen_ == 0) {  // stamp wrap-around: clear and restart
+      std::fill(leaf_.begin(), leaf_.end(), 0);
+      std::fill(seen_.begin(), seen_.end(), 0);
+      std::fill(valued_.begin(), valued_.end(), 0);
+      gen_ = 1;
+    }
+  }
+
+  void mark_leaf(NodeId id) { leaf_[id] = gen_; }
+  [[nodiscard]] bool is_leaf(NodeId id) const { return leaf_[id] == gen_; }
+  /// Marks `id` seen; returns false when it already was.
+  bool visit(NodeId id) {
+    if (seen_[id] == gen_) return false;
+    seen_[id] = gen_;
+    return true;
+  }
+  void set_value(NodeId id, std::uint64_t v) {
+    valued_[id] = gen_;
+    value_[id] = v;
+  }
+  /// Nodes never assigned in this window read as constant false.
+  [[nodiscard]] std::uint64_t value(NodeId id) const {
+    return valued_[id] == gen_ ? value_[id] : 0;
+  }
+
+ private:
+  std::vector<std::uint32_t> leaf_;
+  std::vector<std::uint32_t> seen_;
+  std::vector<std::uint32_t> valued_;
+  std::vector<std::uint64_t> value_;
+  std::uint32_t gen_ = 0;
+};
+
 /// Nodes strictly between `root` and `leaves` (excluding both), topological.
-std::vector<NodeId> window_nodes(const Aig& g, NodeId root, const std::vector<NodeId>& leaves) {
-  std::vector<char> is_leaf(g.num_nodes(), 0);
-  for (const NodeId l : leaves) is_leaf[l] = 1;
-  std::vector<NodeId> stack{aig::lit_var(g.fanin0(root)), aig::lit_var(g.fanin1(root))};
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> nodes;
+/// Starts a new scratch window and marks the leaves.
+void window_nodes(const Aig& g, NodeId root, std::span<const NodeId> leaves,
+                  WindowScratch& scratch, std::vector<NodeId>& stack,
+                  std::vector<NodeId>& nodes) {
+  scratch.next_window();
+  for (const NodeId l : leaves) scratch.mark_leaf(l);
+  stack.assign({aig::lit_var(g.fanin0(root)), aig::lit_var(g.fanin1(root))});
+  nodes.clear();
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    if (seen[id] || is_leaf[id] || !g.is_and(id)) continue;
-    seen[id] = 1;
+    if (scratch.is_leaf(id) || !g.is_and(id) || !scratch.visit(id)) continue;
     nodes.push_back(id);
     stack.push_back(aig::lit_var(g.fanin0(id)));
     stack.push_back(aig::lit_var(g.fanin1(id)));
   }
   std::sort(nodes.begin(), nodes.end());
-  return nodes;
 }
 
 /// Local truth tables over the window: leaves get elementary variables,
@@ -102,40 +186,37 @@ struct WindowTables {
   std::vector<std::pair<NodeId, std::uint64_t>> divisors;  ///< node id -> table
 };
 
-WindowTables window_tables(const Aig& g, NodeId root, const std::vector<NodeId>& leaves,
-                           const std::vector<NodeId>& inner, int max_divisors) {
-  std::vector<std::uint64_t> value(g.num_nodes(), 0);
-  std::vector<char> known(g.num_nodes(), 0);
+/// Fills `out` for the window window_nodes() just opened in `scratch`.
+void window_tables(const Aig& g, NodeId root, std::span<const NodeId> leaves,
+                   std::span<const NodeId> inner, int max_divisors, WindowScratch& scratch,
+                   WindowTables& out) {
   for (std::size_t i = 0; i < leaves.size(); ++i) {
-    value[leaves[i]] = aig::tt_var(static_cast<int>(i));
-    known[leaves[i]] = 1;
+    scratch.set_value(leaves[i], aig::tt_var(static_cast<int>(i)));
   }
-  WindowTables out;
+  out.divisors.clear();
   auto eval = [&](NodeId id) {
     const Lit f0 = g.fanin0(id);
     const Lit f1 = g.fanin1(id);
     const std::uint64_t v0 =
-        value[aig::lit_var(f0)] ^ (aig::lit_is_complemented(f0) ? ~0ULL : 0ULL);
+        scratch.value(aig::lit_var(f0)) ^ (aig::lit_is_complemented(f0) ? ~0ULL : 0ULL);
     const std::uint64_t v1 =
-        value[aig::lit_var(f1)] ^ (aig::lit_is_complemented(f1) ? ~0ULL : 0ULL);
-    value[id] = v0 & v1;
-    known[id] = 1;
+        scratch.value(aig::lit_var(f1)) ^ (aig::lit_is_complemented(f1) ? ~0ULL : 0ULL);
+    scratch.set_value(id, v0 & v1);
   };
   for (const NodeId id : inner) {
     eval(id);
     if (static_cast<int>(out.divisors.size()) < max_divisors) {
-      out.divisors.emplace_back(id, value[id]);
+      out.divisors.emplace_back(id, scratch.value(id));
     }
   }
   // Leaves are divisors too (buffers/complements of leaves are candidates).
   for (const NodeId l : leaves) {
     if (static_cast<int>(out.divisors.size()) < max_divisors) {
-      out.divisors.emplace_back(l, value[l]);
+      out.divisors.emplace_back(l, scratch.value(l));
     }
   }
   eval(root);
-  out.root_table = value[root];
-  return out;
+  out.root_table = scratch.value(root);
 }
 
 /// The resynthesis pass.
@@ -144,6 +225,8 @@ class ResynthPass {
   ResynthPass(const Aig& g, const ResynthParams& params) : g_(g), params_(params) {
     if (params.source == CutSource::Enumerated) {
       cuts_.emplace(g, aig::CutParams{params.cut_size, params.cuts_per_node});
+    } else {
+      window_.resize(g.num_nodes());
     }
   }
 
@@ -182,77 +265,70 @@ class ResynthPass {
     return aig::lit_not_if(remap_[aig::lit_var(lit)], aig::lit_is_complemented(lit));
   }
 
-  CandidateCost cost_of(const Recipe& recipe) {
-    AndProber prober(out_, out_levels_);
-    const Lit result = recipe([&prober](Lit a, Lit b) { return prober(a, b); });
-    return CandidateCost{prober.misses(), prober.level_of(result)};
+  /// Costs `c` against the graph built so far and keeps it when it is the
+  /// first candidate or strictly cheaper than the best one seen.
+  void consider(const Candidate& c) {
+    // out_levels_ may have reallocated since the last node: rebind.
+    prober_.reset(out_levels_);
+    const Lit result = build(c, prober_);
+    const CandidateCost cost{prober_.misses(), prober_.level_of(result)};
+    if (!have_best_ || cheaper(cost, best_cost_, params_.prefer_depth)) {
+      best_ = c;
+      best_cost_ = cost;
+      have_best_ = true;
+    }
   }
 
   void process(NodeId id) {
-    std::vector<Recipe> recipes;
+    have_best_ = false;
     // (a) default reconstruction.
-    const Lit d0 = mapped(g_.fanin0(id));
-    const Lit d1 = mapped(g_.fanin1(id));
-    recipes.push_back([d0, d1](const aig::AndFn& fn) { return fn(d0, d1); });
+    Candidate c;
+    c.kind = Candidate::Kind::And;
+    c.a = mapped(g_.fanin0(id));
+    c.b = mapped(g_.fanin1(id));
+    consider(c);
 
+    c.kind = Candidate::Kind::Table;
     if (params_.source == CutSource::Enumerated) {
       for (const Cut& cut : cuts_->cuts(id)) {
-        std::vector<Lit> leaf_lits;
-        leaf_lits.reserve(cut.size);
-        for (const NodeId leaf : cut.leaf_span()) {
-          leaf_lits.push_back(remap_[leaf]);
-        }
-        const std::uint64_t table = cut.table;
-        const int nvars = cut.size;
-        recipes.push_back([table, nvars, leaf_lits](const aig::AndFn& fn) {
-          return aig::synthesize_tt(fn, table, nvars, leaf_lits);
-        });
+        for (std::size_t i = 0; i < cut.size; ++i) c.leaves[i] = remap_[cut.leaves[i]];
+        c.table = cut.table;
+        c.nvars = cut.size;
+        consider(c);
       }
     } else {
-      const auto leaves = reconvergence_cut(g_, id, params_.reconv_max_leaves);
-      const auto inner = window_nodes(g_, id, leaves);
-      const auto tables = window_tables(g_, id, leaves, inner,
-                                        params_.try_resub ? params_.max_divisors : 0);
-      std::vector<Lit> leaf_lits;
-      leaf_lits.reserve(leaves.size());
-      for (const NodeId leaf : leaves) leaf_lits.push_back(remap_[leaf]);
-      const std::uint64_t table = tables.root_table;
-      const int nvars = static_cast<int>(leaves.size());
-      recipes.push_back([table, nvars, leaf_lits](const aig::AndFn& fn) {
-        return aig::synthesize_tt(fn, table, nvars, leaf_lits);
-      });
-      if (params_.try_resub) add_resub_recipes(tables, recipes);
+      reconvergence_cut(g_, id, params_.reconv_max_leaves, leaves_);
+      window_nodes(g_, id, leaves_, window_, stack_, inner_);
+      window_tables(g_, id, leaves_, inner_, params_.try_resub ? params_.max_divisors : 0,
+                    window_, tables_);
+      for (std::size_t i = 0; i < leaves_.size(); ++i) c.leaves[i] = remap_[leaves_[i]];
+      c.table = tables_.root_table;
+      c.nvars = static_cast<std::uint8_t>(leaves_.size());
+      consider(c);
+      if (params_.try_resub) consider_resub(tables_);
     }
 
-    // Cost all candidates, realize the winner.
-    std::size_t best = 0;
-    CandidateCost best_cost = cost_of(recipes[0]);
-    for (std::size_t i = 1; i < recipes.size(); ++i) {
-      const CandidateCost c = cost_of(recipes[i]);
-      if (cheaper(c, best_cost, params_.prefer_depth)) {
-        best_cost = c;
-        best = i;
-      }
-    }
-    remap_[id] = recipes[best]([this](Lit a, Lit b) { return out_.make_and(a, b); });
+    // Realize the winner.
+    auto make_and = [this](Lit a, Lit b) { return out_.make_and(a, b); };
+    remap_[id] = build(best_, make_and);
     sync_levels();
   }
 
   /// Divisor-pair candidates: exact matches of the root function by a single
   /// divisor or a simple gate over two divisors.
-  void add_resub_recipes(const WindowTables& tables, std::vector<Recipe>& recipes) const {
+  void consider_resub(const WindowTables& tables) {
     const std::uint64_t target = tables.root_table;
     const auto& divs = tables.divisors;
+    Candidate c;
     for (std::size_t i = 0; i < divs.size(); ++i) {
       const Lit di = remap_[divs[i].first];
       const std::uint64_t ti = divs[i].second;
-      if (ti == target) {
-        recipes.push_back([di](const aig::AndFn&) { return di; });
+      if (ti == target || ~ti == target) {
+        c.kind = Candidate::Kind::Copy;
+        c.a = di;
+        c.complemented = ti != target;
+        consider(c);
         continue;  // exact copies beat anything else involving this divisor
-      }
-      if (~ti == target) {
-        recipes.push_back([di](const aig::AndFn&) { return aig::lit_not(di); });
-        continue;
       }
       for (std::size_t j = i + 1; j < divs.size(); ++j) {
         const Lit dj = remap_[divs[j].first];
@@ -262,23 +338,20 @@ class ResynthPass {
         for (int neg = 0; neg < 4; ++neg) {
           const std::uint64_t a = (neg & 1) ? ~ti : ti;
           const std::uint64_t b = (neg & 2) ? ~tj : tj;
-          const Lit la = aig::lit_not_if(di, (neg & 1) != 0);
-          const Lit lb = aig::lit_not_if(dj, (neg & 2) != 0);
-          if ((a & b) == target) {
-            recipes.push_back([la, lb](const aig::AndFn& fn) { return fn(la, lb); });
-          } else if (~(a & b) == target) {
-            recipes.push_back(
-                [la, lb](const aig::AndFn& fn) { return aig::lit_not(fn(la, lb)); });
+          if ((a & b) == target || ~(a & b) == target) {
+            c.kind = Candidate::Kind::And;
+            c.a = aig::lit_not_if(di, (neg & 1) != 0);
+            c.b = aig::lit_not_if(dj, (neg & 2) != 0);
+            c.complemented = (a & b) != target;
+            consider(c);
           }
         }
         if ((ti ^ tj) == target || (ti ^ tj) == ~target) {
-          const bool complemented = (ti ^ tj) == ~target;
-          recipes.push_back([di, dj, complemented](const aig::AndFn& fn) {
-            const Lit p = fn(di, aig::lit_not(dj));
-            const Lit q = fn(aig::lit_not(di), dj);
-            const Lit x = aig::lit_not(fn(aig::lit_not(p), aig::lit_not(q)));
-            return aig::lit_not_if(x, complemented);
-          });
+          c.kind = Candidate::Kind::Xor;
+          c.a = di;
+          c.b = dj;
+          c.complemented = (ti ^ tj) != target;
+          consider(c);
         }
       }
     }
@@ -290,6 +363,16 @@ class ResynthPass {
   Aig out_;
   std::vector<Lit> remap_;
   std::vector<std::uint32_t> out_levels_;
+  AndProber prober_{out_, {}};
+  Candidate best_;
+  CandidateCost best_cost_;
+  bool have_best_ = false;
+  // Reconvergence-window scratch, reused across nodes.
+  WindowScratch window_;
+  std::vector<NodeId> leaves_;
+  std::vector<NodeId> stack_;
+  std::vector<NodeId> inner_;
+  WindowTables tables_;
 };
 
 }  // namespace

@@ -119,6 +119,12 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   for (int i = 0; i < target; ++i) work_ready_.notify_one();
   run_tasks();  // the calling thread participates
   std::unique_lock lock(mutex_);
+  // Close the claim window.  A notification can be absorbed by a worker
+  // that is already back in wait() from an earlier job (its predicate was
+  // false then), so some slots may never be claimed; the job is done by now,
+  // so drop them instead of waiting for workers that will not come.
+  busy_workers_ -= participants_target_ - participants_claimed_;
+  participants_target_ = participants_claimed_;
   work_done_.wait(lock, [&] { return busy_workers_ == 0; });
   job_ = nullptr;
   if (first_error_) std::rethrow_exception(std::exchange(first_error_, nullptr));

@@ -202,6 +202,13 @@ struct MapCase {
   int cut_size;
 };
 
+// Print a case by its fields. The default printer dumps the raw bytes of
+// MapCase, which hold a pointer and padding and so change from run to run;
+// the printed value also names the test in ctest.
+void PrintTo(const MapCase& c, std::ostream* os) {
+  *os << c.design << (c.mode == MapMode::Delay ? "_Delay_k" : "_Area_k") << c.cut_size;
+}
+
 class MapEquivalence : public ::testing::TestWithParam<MapCase> {};
 
 TEST_P(MapEquivalence, MappingPreservesFunction) {

@@ -8,9 +8,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "aig/analysis.hpp"
 #include "celllib/library.hpp"
@@ -64,6 +70,40 @@ TEST(ThreadPool, PropagatesTaskException) {
   std::atomic<int> ok{0};
   pool.parallel_for(8, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 8);
+}
+
+// Regression: parallel_for wakes workers with one notify_one per participant
+// slot.  A worker that finished a job and returned to wait() could absorb a
+// later notification (its predicate was false at that moment), so a slot was
+// never claimed and the caller waited for it forever.  Small back-to-back
+// jobs hung an unfixed 4-thread pool within 200k calls.
+TEST(ThreadPool, BackToBackSmallJobsNeverHang) {
+  std::mutex mutex;
+  std::condition_variable finished;
+  bool done = false;
+  // A hang blocks the caller; abort with a message instead of stalling.
+  std::thread watchdog([&] {
+    std::unique_lock lock(mutex);
+    if (!finished.wait_for(lock, std::chrono::seconds(240), [&] { return done; })) {
+      std::fprintf(stderr, "ThreadPool.BackToBackSmallJobsNeverHang: parallel_for hung\n");
+      std::abort();
+    }
+  });
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  std::size_t expected = 0;
+  for (int call = 0; call < 300000; ++call) {
+    const std::size_t n = 2 + static_cast<std::size_t>(call % 3);
+    pool.parallel_for(n, [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
+    expected += n;
+  }
+  {
+    std::lock_guard lock(mutex);
+    done = true;
+  }
+  finished.notify_one();
+  watchdog.join();
+  EXPECT_EQ(total.load(), expected);
 }
 
 TEST(Rng, TaskForkIsDeterministicAndConst) {

@@ -308,5 +308,110 @@ TEST(Synth, ProberTracksLevels) {
   EXPECT_EQ(prober.misses(), 0);
 }
 
+TEST(Synth, PlanKindsFollowTheShortcuts) {
+  std::vector<SynthStep> program;
+  EXPECT_EQ(compile_synth_plan(tt_const0(), 3, program).kind, SynthPlan::Kind::Const0);
+  EXPECT_EQ(compile_synth_plan(tt_const1(), 3, program).kind, SynthPlan::Kind::Const1);
+  EXPECT_TRUE(program.empty());
+  const SynthPlan lit = compile_synth_plan(~tt_var(2), 4, program);
+  EXPECT_EQ(lit.kind, SynthPlan::Kind::Literal);
+  EXPECT_TRUE(lit.complemented);
+  ASSERT_EQ(lit.num_kept, 1);
+  EXPECT_EQ(lit.kept[0], 2);
+  EXPECT_TRUE(lit.steps.empty());
+  const SynthPlan xnor = compile_synth_plan(~(tt_var(0) ^ tt_var(3)), 4, program);
+  EXPECT_EQ(xnor.kind, SynthPlan::Kind::Parity);
+  EXPECT_TRUE(xnor.complemented);
+  EXPECT_EQ(xnor.steps.size(), 3u);
+  // ab | !a c: two 2-literal cubes either way, so the on-set cover wins the
+  // tie: two cube ANDs and one OR.
+  const SynthPlan mux =
+      compile_synth_plan((tt_var(0) & tt_var(1)) | (~tt_var(0) & tt_var(2)), 3, program);
+  EXPECT_EQ(mux.kind, SynthPlan::Kind::Cover);
+  EXPECT_FALSE(mux.complemented);
+  EXPECT_EQ(mux.steps.size(), 3u);
+  EXPECT_EQ(program.size(), 6u);  // every program appended to the one buffer
+}
+
+// The cached plan is the compiled plan, across enough distinct functions to
+// evict cache slots and recycle the program arena.
+TEST(Synth, CachedPlansMatchCompiledPlans) {
+  Rng rng(77);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int nvars = 2 + trial % 5;
+    const std::uint64_t f = tt_expand_low(rng.next(), nvars);
+    std::vector<SynthStep> program;
+    const SynthPlan fresh = compile_synth_plan(f, nvars, program);
+    const SynthPlan cached = synth_plan(f, nvars);
+    EXPECT_EQ(cached.kind, fresh.kind);
+    EXPECT_EQ(cached.complemented, fresh.complemented);
+    EXPECT_EQ(cached.num_kept, fresh.num_kept);
+    EXPECT_EQ(cached.kept, fresh.kept);
+    EXPECT_EQ(cached.output, fresh.output);
+    EXPECT_LE(fresh.steps.size(), SynthPlan::kMaxSteps);
+    ASSERT_EQ(cached.steps.size(), fresh.steps.size());
+    for (std::size_t i = 0; i < fresh.steps.size(); ++i) {
+      ASSERT_EQ(cached.steps[i].a, fresh.steps[i].a) << "trial=" << trial;
+      ASSERT_EQ(cached.steps[i].b, fresh.steps[i].b) << "trial=" << trial;
+    }
+  }
+}
+
+// One prober reused across a growing graph: reset(levels) rebinds the level
+// view and moves hypothetical ids past the new nodes.
+TEST(Synth, ProberResetRebindsToTheGrownGraph) {
+  Aig g;
+  const Lit a = g.add_input();
+  const Lit b = g.add_input();
+  const Lit c = g.add_input();
+  std::vector<std::uint32_t> lvls(g.num_nodes(), 0);
+  AndProber prober(g, lvls);
+  const Lit fake = prober(a, b);
+  EXPECT_EQ(lit_var(fake), g.num_nodes());
+  EXPECT_EQ(prober(b, a), fake);  // normalized pair, no second miss
+  EXPECT_EQ(prober.misses(), 1);
+
+  const Lit real = g.make_and(a, b);
+  lvls.push_back(1);
+  prober.reset(lvls);
+  EXPECT_EQ(prober(a, b), real);
+  EXPECT_EQ(prober.misses(), 0);
+  const Lit abc = prober(real, c);
+  EXPECT_EQ(lit_var(abc), g.num_nodes());
+  EXPECT_EQ(prober.level_of(abc), 2u);
+}
+
+// Enough hypothetical nodes to grow the probe table several times; every
+// pair still maps to one stable literal, and reset() forgets them all.
+TEST(Synth, ProberKeepsManyHypotheticalNodesDistinct) {
+  Aig g;
+  std::vector<Lit> ins;
+  for (int i = 0; i < 40; ++i) ins.push_back(g.add_input());
+  AndProber prober(g, {});
+  std::vector<Lit> first;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i + 1 < ins.size(); ++i) {
+      for (std::size_t j = i + 1; j < ins.size(); j += 7) {
+        const Lit lit = prober(ins[i], lit_not(ins[j]));
+        if (round == 0) {
+          EXPECT_EQ(lit_var(lit), g.num_nodes() + first.size());
+          first.push_back(lit);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(prober.misses(), static_cast<int>(first.size()));
+  std::size_t k = 0;
+  for (std::size_t i = 0; i + 1 < ins.size(); ++i) {
+    for (std::size_t j = i + 1; j < ins.size(); j += 7) {
+      EXPECT_EQ(prober(ins[i], lit_not(ins[j])), first[k++]);
+    }
+  }
+  prober.reset();
+  EXPECT_EQ(prober.misses(), 0);
+  EXPECT_EQ(prober(ins[0], lit_not(ins[1])), make_lit(static_cast<NodeId>(g.num_nodes())));
+  EXPECT_EQ(prober.misses(), 1);
+}
+
 }  // namespace
 }  // namespace aigml::aig
