@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 
 #include "aig/analysis.hpp"
 #include "aig/cuts.hpp"
@@ -32,9 +33,14 @@ const aig::Aig& design(const std::string& name) {
   return it->second;
 }
 
+/// EXnn design named by a benchmark argument (2 -> "EX02", 54 -> "EX54").
+const aig::Aig& design_arg(std::int64_t number) {
+  return design((number < 10 ? "EX0" : "EX") + std::to_string(number));
+}
+
 void BM_CutEnumeration(benchmark::State& state) {
-  const aig::Aig& g = design("EX02");
   const int k = static_cast<int>(state.range(0));
+  const aig::Aig& g = design_arg(state.range(1));
   for (auto _ : state) {
     aig::CutSets cuts(g, aig::CutParams{k, 8});
     benchmark::DoNotOptimize(cuts.cuts(static_cast<aig::NodeId>(g.num_nodes() - 1)));
@@ -42,7 +48,30 @@ void BM_CutEnumeration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_ands()));
 }
-BENCHMARK(BM_CutEnumeration)->Arg(3)->Arg(4)->Arg(6);
+BENCHMARK(BM_CutEnumeration)->ArgNames({"k", "EX"})->ArgsProduct({{3, 4, 6}, {2, 54}});
+
+void BM_AigCleanup(benchmark::State& state) {
+  // Every rebuild ends in cleanup(): a cone walk plus one strashed AND per
+  // live node.
+  const aig::Aig& g = design("EX54");
+  for (auto _ : state) {
+    auto t = g.cleanup();
+    benchmark::DoNotOptimize(t.num_ands());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_ands()));
+}
+BENCHMARK(BM_AigCleanup);
+
+void BM_AigCopy(benchmark::State& state) {
+  // The SA loop copies its current graph for each candidate move.
+  const aig::Aig& g = design("EX54");
+  for (auto _ : state) {
+    aig::Aig copy = g;
+    benchmark::DoNotOptimize(copy.num_ands());
+  }
+}
+BENCHMARK(BM_AigCopy);
 
 void BM_Mapping(benchmark::State& state) {
   const aig::Aig& g = design(state.range(0) == 0 ? "EX68" : "EX02");

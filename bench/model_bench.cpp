@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/temp_dir.hpp"
 #include "ml/dataset.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/model_v2.hpp"
@@ -112,8 +113,8 @@ int main(int argc, char** argv) {
   std::printf("model bench: %zu trees, %zu flat nodes\n", trained.num_trees(),
               trained.forest_nodes().size());
 
-  const fs::path dir = fs::temp_directory_path() / "aigml_model_bench";
-  fs::create_directories(dir);
+  const bench::TempDir model_dir("aigml_model_bench");
+  const fs::path& dir = model_dir.path();
   const fs::path text_path = dir / "m.gbdt";
   const fs::path v2_path = dir / "m.gbdt2";
   trained.save(text_path);
@@ -199,6 +200,5 @@ int main(int argc, char** argv) {
       << ",\n  \"int16_rmse_norm\": " << int16_err.rmse_norm
       << ",\n  \"bit_identical\": " << (identical ? "true" : "false") << "\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
-  fs::remove_all(dir);
   return identical && load_ok && batch_ok && quant_sane ? 0 : 1;
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "aig/analysis.hpp"
+#include "bench/temp_dir.hpp"
 #include "features/features.hpp"
 #include "gen/circuits.hpp"
 #include "ml/gbdt.hpp"
@@ -72,9 +73,8 @@ int main(int argc, char** argv) {
   params.num_trees = smoke ? 240 : 400;
   params.max_depth = 5;
   const ml::GbdtModel model = ml::GbdtModel::train(data, params);
-  const std::filesystem::path model_dir =
-      std::filesystem::temp_directory_path() / "aigml_server_bench_models";
-  std::filesystem::create_directories(model_dir);
+  const bench::TempDir model_tmp("aigml_server_bench_models");
+  const std::filesystem::path& model_dir = model_tmp.path();
   model.save(model_dir / "delay.gbdt");
 
   // Bit-identity oracle: local single-call predict per variant.

@@ -1,6 +1,7 @@
 #include "aig/aig.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -8,8 +9,16 @@ namespace aigml::aig {
 
 namespace {
 
-constexpr std::uint64_t strash_key(Lit a, Lit b) noexcept {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
+/// Fibonacci hash of the fanin pair; the high half spreads well under any
+/// power-of-two mask.
+constexpr std::size_t strash_hash(Lit a, Lit b) noexcept {
+  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+/// Smallest power-of-two table that holds `ands` keys at load <= 1/2.
+std::size_t strash_slots_for(std::size_t ands) noexcept {
+  return std::bit_ceil(std::max<std::size_t>(2 * ands, 16));
 }
 
 constexpr std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) noexcept {
@@ -42,11 +51,12 @@ Lit Aig::make_and(Lit a, Lit b) {
   if (lit_var(a) >= nodes_.size() || lit_var(b) >= nodes_.size()) {
     throw std::out_of_range("Aig::make_and: fanin literal references unknown node");
   }
-  const std::uint64_t key = strash_key(a, b);
-  if (const auto it = strash_.find(key); it != strash_.end()) return make_lit(it->second);
+  if (2 * (num_ands_ + 1) > strash_.size()) strash_rehash(strash_slots_for(num_ands_ + 1));
+  const std::size_t slot = strash_slot(a, b);
+  if (strash_[slot] != 0) return make_lit(strash_[slot]);
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(Node{a, b, NodeKind::And});
-  strash_.emplace(key, id);
+  strash_[slot] = id;
   ++num_ands_;
   return make_lit(id);
 }
@@ -57,10 +67,36 @@ Lit Aig::probe_and(Lit a, Lit b) const {
   if (a == kLitTrue) return b;
   if (a == b) return a;
   if ((a ^ b) == 1u) return kLitFalse;
-  if (const auto it = strash_.find(strash_key(a, b)); it != strash_.end()) {
-    return make_lit(it->second);
+  if (strash_.empty()) return kLitInvalid;
+  const NodeId id = strash_[strash_slot(a, b)];
+  return id != 0 ? make_lit(id) : kLitInvalid;
+}
+
+std::size_t Aig::strash_slot(Lit a, Lit b) const noexcept {
+  const std::size_t mask = strash_.size() - 1;
+  for (std::size_t slot = strash_hash(a, b) & mask;; slot = (slot + 1) & mask) {
+    const NodeId id = strash_[slot];
+    if (id == 0) return slot;
+    const Node& n = nodes_[id];
+    if (n.fanin0 == a && n.fanin1 == b) return slot;
   }
-  return kLitInvalid;
+}
+
+void Aig::strash_rehash(std::size_t slots) {
+  strash_.assign(slots, 0);
+  const std::size_t mask = slots - 1;
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    if (n.kind != NodeKind::And) continue;
+    std::size_t slot = strash_hash(n.fanin0, n.fanin1) & mask;
+    while (strash_[slot] != 0) slot = (slot + 1) & mask;
+    strash_[slot] = id;
+  }
+}
+
+void Aig::reserve(std::size_t n) {
+  nodes_.reserve(n);
+  if (2 * n > strash_.size()) strash_rehash(strash_slots_for(n));
 }
 
 Lit Aig::make_xor(Lit a, Lit b) {
@@ -193,16 +229,10 @@ bool Aig::check_acyclic_order() const {
 }
 
 Aig Aig::cleanup() const {
-  Aig out;
-  out.reserve(nodes_.size());
-  std::vector<Lit> remap(nodes_.size(), kLitInvalid);
-  remap[0] = kLitFalse;
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    remap[inputs_[i]] = out.add_input(input_names_[i]);
-  }
   // Mark the cone of the outputs.
   std::vector<char> needed(nodes_.size(), 0);
   std::vector<NodeId> stack;
+  std::size_t needed_ands = 0;
   for (const Lit o : outputs_) stack.push_back(lit_var(o));
   while (!stack.empty()) {
     const NodeId id = stack.back();
@@ -211,9 +241,19 @@ Aig Aig::cleanup() const {
     needed[id] = 1;
     const Node& n = nodes_[id];
     if (n.kind == NodeKind::And) {
+      ++needed_ands;
       stack.push_back(lit_var(n.fanin0));
       stack.push_back(lit_var(n.fanin1));
     }
+  }
+  // Size node storage and the hash table once: the output has at most the
+  // cone's ANDs (strashing may merge some).
+  Aig out;
+  out.reserve(1 + inputs_.size() + needed_ands);
+  std::vector<Lit> remap(nodes_.size(), kLitInvalid);
+  remap[0] = kLitFalse;
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    remap[inputs_[i]] = out.add_input(input_names_[i]);
   }
   // Nodes are in topological order already, so a single forward pass works.
   for (NodeId id = 0; id < nodes_.size(); ++id) {

@@ -11,13 +11,15 @@
 // Structural hashing: `make_and` normalizes fanin order, folds constants and
 // trivial cases (a&a, a&!a), and returns an existing node when one computes
 // the same pair.  Two structurally identical graphs built through the public
-// API therefore share node identity.
+// API therefore share node identity.  The hash table is a flat power-of-two
+// array of node ids probed linearly (id 0, the constant node, marks an empty
+// slot); keys are read back from the nodes themselves, so a slot is 4 bytes
+// and copying a graph copies plain vectors.
 
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace aigml::aig {
@@ -140,16 +142,24 @@ class Aig {
   /// are preserved.
   [[nodiscard]] Aig cleanup() const;
 
-  /// Reserve node storage (optimization for bulk construction).
-  void reserve(std::size_t n) { nodes_.reserve(n); }
+  /// Reserve storage for `n` nodes (optimization for bulk construction):
+  /// the node vector, and a hash table sized so `n` ANDs keep its load at or
+  /// below one half.
+  void reserve(std::size_t n);
 
  private:
+  /// Slot of the AND (a, b) with a <= b: the slot holding it, or the empty
+  /// slot where it would go.  The table must be non-empty.
+  [[nodiscard]] std::size_t strash_slot(Lit a, Lit b) const noexcept;
+  /// Resizes the table to `slots` (a power of two) and re-inserts every AND.
+  void strash_rehash(std::size_t slots);
+
   std::vector<Node> nodes_;
   std::vector<NodeId> inputs_;
   std::vector<Lit> outputs_;
   std::vector<std::string> input_names_;
   std::vector<std::string> output_names_;
-  std::unordered_map<std::uint64_t, NodeId> strash_;
+  std::vector<NodeId> strash_;  ///< power-of-two size; 0 = empty slot
   std::size_t num_ands_ = 0;
 };
 

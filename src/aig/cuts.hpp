@@ -51,7 +51,11 @@ struct CutParams {
 /// views are (offset, count) spans into the arena.  Fanin cut lists are read
 /// in place — no per-node vectors, no copies, no per-insert sort (a working
 /// buffer of at most max_cuts entries is kept size-ordered by positional
-/// insertion).
+/// insertion).  While enumerating, every cut also carries a 64-bit leaf
+/// signature (bit leaf % 64 set per leaf) in a parallel array: a fanin pair
+/// whose signatures' union has more than cut_size bits is skipped before
+/// merging, and dominance checks test signatures before leaves.  Both
+/// filters are exact, so the lists are those of the unfiltered merge.
 class CutSets {
  public:
   CutSets(const Aig& g, const CutParams& params);

@@ -5,6 +5,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/aiger.hpp"
@@ -63,6 +64,95 @@ TEST(Aig, ProbeAndMatchesMakeAnd) {
   EXPECT_EQ(g.probe_and(a, b), kLitInvalid);  // not created yet
   const Lit x = g.make_and(a, b);
   EXPECT_EQ(g.probe_and(b, a), x);
+}
+
+TEST(Strash, LookupsSurviveTableGrowth) {
+  // A 100k-AND chain forces the table through many doublings; every node
+  // must still be found under either fanin order, and nothing duplicated.
+  constexpr int kChain = 100'000;
+  Aig g;
+  const Lit a = g.add_input();
+  const Lit b = g.add_input();
+  std::vector<Lit> chain{g.make_and(a, b)};
+  for (int i = 1; i < kChain; ++i) {
+    const Lit side = (i % 2 == 0) ? a : lit_not(b);
+    chain.push_back(g.make_and(lit_not_if(chain.back(), i % 3 == 0), side));
+  }
+  ASSERT_EQ(g.num_ands(), static_cast<std::size_t>(kChain));
+  for (int i = 1; i < kChain; ++i) {
+    const Lit side = (i % 2 == 0) ? a : lit_not(b);
+    const Lit prev = lit_not_if(chain[i - 1], i % 3 == 0);
+    ASSERT_EQ(g.probe_and(side, prev), chain[i]) << i;
+    ASSERT_EQ(g.make_and(prev, side), chain[i]) << i;
+  }
+  EXPECT_EQ(g.num_ands(), static_cast<std::size_t>(kChain));
+  // Pairs that were never built stay absent.
+  EXPECT_EQ(g.probe_and(chain[10], chain[20]), kLitInvalid);
+  EXPECT_EQ(g.probe_and(lit_not(chain[0]), a), kLitInvalid);
+}
+
+TEST(Strash, CopiesHashIndependently) {
+  Aig g;
+  const Lit a = g.add_input();
+  const Lit b = g.add_input();
+  const Lit c = g.add_input();
+  const Lit ab = g.make_and(a, b);
+  Aig copy = g;
+  // Enough new ANDs to grow the copy's table several times.
+  std::vector<Lit> made;
+  Lit acc = c;
+  for (int i = 0; i < 200; ++i) {
+    acc = copy.make_and(acc, (i % 2 == 0) ? lit_not(a) : b);
+    made.push_back(acc);
+  }
+  EXPECT_EQ(g.num_ands(), 1u);
+  EXPECT_EQ(g.probe_and(a, b), ab);
+  EXPECT_EQ(g.probe_and(c, lit_not(a)), kLitInvalid);
+  EXPECT_EQ(copy.probe_and(c, lit_not(a)), made[0]);
+  EXPECT_EQ(copy.probe_and(a, b), ab);
+  // The original still hashes new nodes on its own.
+  const Lit ca = g.make_and(c, lit_not(a));
+  EXPECT_EQ(lit_var(ca), 5u);
+  EXPECT_EQ(g.num_ands(), 2u);
+}
+
+TEST(Strash, ProbeOnGraphWithoutAnds) {
+  Aig empty;
+  EXPECT_EQ(empty.probe_and(kLitTrue, kLitFalse), kLitFalse);
+  EXPECT_EQ(empty.probe_and(kLitTrue, kLitTrue), kLitTrue);
+  Aig g;
+  const Lit a = g.add_input();
+  const Lit b = g.add_input();
+  EXPECT_EQ(g.probe_and(a, b), kLitInvalid);
+  EXPECT_EQ(g.probe_and(a, lit_not(b)), kLitInvalid);
+  EXPECT_EQ(g.probe_and(a, kLitTrue), a);
+  EXPECT_EQ(g.probe_and(a, lit_not(a)), kLitFalse);
+  const Aig copy = g;
+  EXPECT_EQ(copy.probe_and(b, a), kLitInvalid);
+  g.reserve(64);
+  EXPECT_EQ(g.probe_and(a, b), kLitInvalid);
+  EXPECT_EQ(g.num_ands(), 0u);
+}
+
+TEST(Strash, CleanupKeepsStructuralHash) {
+  Aig g;
+  std::vector<Lit> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(g.add_input());
+  for (int i = 0; i < 400; ++i) {
+    const Lit x = pool[(i * 7) % pool.size()];
+    const Lit y = pool[(i * 13 + 5) % pool.size()];
+    pool.push_back(g.make_and(lit_not_if(x, i % 3 == 0), lit_not_if(y, i % 5 == 0)));
+  }
+  for (std::size_t i = pool.size() - 40; i < pool.size(); i += 4) g.add_output(pool[i]);
+  const Aig clean = g.cleanup();
+  EXPECT_EQ(clean.structural_hash(), g.structural_hash());
+  EXPECT_LE(clean.num_ands(), g.num_ands());
+  EXPECT_EQ(clean.cleanup().structural_hash(), g.structural_hash());
+  // The cleaned graph's table finds every node it holds.
+  for (NodeId id = 0; id < clean.num_nodes(); ++id) {
+    if (!clean.is_and(id)) continue;
+    EXPECT_EQ(clean.probe_and(clean.fanin1(id), clean.fanin0(id)), make_lit(id));
+  }
 }
 
 TEST(Aig, DerivedOperatorsTruthTables) {

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "aig/aig.hpp"
 #include "aig/analysis.hpp"
 #include "aig/cuts.hpp"
 #include "aig/sim.hpp"
+#include "gen/circuits.hpp"
+#include "gen/designs.hpp"
 #include "util/rng.hpp"
 
 namespace aigml::aig {
@@ -250,6 +254,111 @@ TEST(Cuts, SubsetOf) {
   disjoint.size = 2;
   disjoint.leaves = {3, 7};
   EXPECT_FALSE(disjoint.subset_of(big));
+}
+
+TEST(Cuts, SubsetOfIsExactWithoutSignatures) {
+  // Hand-built cuts carry only leaves.  Leaves 1, 65 and 129 share a bit in
+  // any 64-bit leaf signature, so a signature alone cannot tell these apart.
+  auto make = [](std::initializer_list<NodeId> leaves) {
+    Cut c;
+    for (const NodeId l : leaves) c.leaves[c.size++] = l;
+    return c;
+  };
+  const Cut empty = make({});
+  const Cut one = make({65});
+  const Cut pair = make({1, 65});
+  const Cut triple = make({1, 65, 129});
+  const Cut aliased = make({1, 129});
+  EXPECT_TRUE(empty.subset_of(empty));
+  EXPECT_TRUE(empty.subset_of(triple));
+  EXPECT_FALSE(one.subset_of(empty));
+  EXPECT_TRUE(one.subset_of(pair));
+  EXPECT_TRUE(pair.subset_of(triple));
+  EXPECT_TRUE(triple.subset_of(triple));
+  EXPECT_FALSE(triple.subset_of(pair));
+  EXPECT_FALSE(one.subset_of(aliased));
+  EXPECT_FALSE(aliased.subset_of(pair));
+  EXPECT_TRUE(aliased.subset_of(triple));
+  const Cut wide = make({3, 4, 7, 67, 68, 71});
+  EXPECT_TRUE(make({4, 67, 71}).subset_of(wide));
+  EXPECT_FALSE(make({4, 8, 71}).subset_of(wide));
+  EXPECT_FALSE(make({3, 4, 7, 67, 68, 72}).subset_of(wide));
+}
+
+// ---- golden identity ---------------------------------------------------------------
+
+Aig circuit_by_name(const std::string& name) {
+  if (name == "mult6") return gen::multiplier(6);
+  if (name == "cla8") return gen::adder_cla(8);
+  if (name == "alu4") return gen::alu(4);
+  if (name == "parity9") return gen::parity_tree(9);
+  if (name == "prio8") return gen::priority_encoder(8);
+  if (name == "cmp6") return gen::comparator(6);
+  if (name == "ctrl") return gen::random_control(11, 5, 280, 3);
+  return gen::build_design(name);
+}
+
+/// Digest of every node's cut list in order: count, then each cut's size,
+/// leaves and table.
+std::uint64_t cut_digest(const Aig& g, int cut_size) {
+  const CutSets cs(g, CutParams{cut_size, 8});
+  std::uint64_t h = 0x243f6a8885a308d3ULL;
+  auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  };
+  mix(cs.num_nodes());
+  for (NodeId id = 0; id < cs.num_nodes(); ++id) {
+    const auto cuts = cs.cuts(id);
+    mix(cuts.size());
+    for (const Cut& c : cuts) {
+      mix(c.size);
+      for (const NodeId l : c.leaf_span()) mix(l);
+      mix(c.table);
+    }
+  }
+  return h;
+}
+
+/// Cut-list digests at k = 3, 4 and 6 (max_cuts 8) on every generated design
+/// and generator circuit.  They were recorded with the enumeration as it was
+/// before leaf signatures filtered merges and dominance checks; the filters
+/// are exact, so every list must match it leaf for leaf and in order.
+struct CutGoldenRow {
+  const char* circuit;
+  std::uint64_t k3;
+  std::uint64_t k4;
+  std::uint64_t k6;
+};
+
+constexpr CutGoldenRow kCutsGolden[] = {
+    {"EX00", 0x37fe822b8c2a1b32ULL, 0xaccbd4e76b6a6e1dULL, 0x014de10f7fddf06dULL},
+    {"EX08", 0x9a7e97a2c6885b3eULL, 0xbf65673deb2a1533ULL, 0x686881a1e9458d77ULL},
+    {"EX28", 0x306adcc2261a5747ULL, 0xaaa8d7ab12a1f863ULL, 0x401ad6b17dbbcf75ULL},
+    {"EX68", 0xd9a927b243f9d933ULL, 0x3b1ccd3638427a92ULL, 0x4dc83b440c1bee57ULL},
+    {"EX02", 0xe74df45e888390a0ULL, 0x6e343a66a499eee1ULL, 0x7b105dd4af848d32ULL},
+    {"EX11", 0xc144e44f774f61adULL, 0xa41a453639b236fdULL, 0x0820d83d13b7bb6bULL},
+    {"EX16", 0xf0b402679c77c41dULL, 0xd9360310bc800afbULL, 0x80cbad4ce71ce766ULL},
+    {"EX54", 0xae87d32ffd399fa7ULL, 0xaac1d59ada76ec45ULL, 0x75e125bcc88a1062ULL},
+    {"mult6", 0x7ef8f1d88b16133fULL, 0xdceba312c3564c0bULL, 0xcaa663dcf46e477bULL},
+    {"cla8", 0x685a841846571501ULL, 0xf381c307659d9e0bULL, 0x48721f2c075d27aaULL},
+    {"alu4", 0x5a9c10e6c766fb51ULL, 0xbfad42374cfc3b62ULL, 0xcbedad3fdd39eb35ULL},
+    {"parity9", 0x505eaf7119685fbeULL, 0x9523b83e25869f2bULL, 0xa99ad56fb9365572ULL},
+    {"prio8", 0x98e4551aa3b51d39ULL, 0x3fc02aea16492b99ULL, 0xd085638c6f4e3ca8ULL},
+    {"cmp6", 0xbe3112114cf28ed9ULL, 0x8f3525525b1cf371ULL, 0x8f3525525b1cf371ULL},
+    {"ctrl", 0x179e6ffcfd68f778ULL, 0xa397a9ac49def60bULL, 0x196a27212e8ee932ULL},
+};
+
+TEST(CutsGolden, ListsMatchRecordedDigests) {
+  for (const CutGoldenRow& row : kCutsGolden) {
+    const Aig g = circuit_by_name(row.circuit);
+    const std::uint64_t k3 = cut_digest(g, 3);
+    const std::uint64_t k4 = cut_digest(g, 4);
+    const std::uint64_t k6 = cut_digest(g, 6);
+    EXPECT_EQ(k3, row.k3) << row.circuit << " k=3 got 0x" << std::hex << k3;
+    EXPECT_EQ(k4, row.k4) << row.circuit << " k=4 got 0x" << std::hex << k4;
+    EXPECT_EQ(k6, row.k6) << row.circuit << " k=6 got 0x" << std::hex << k6;
+  }
 }
 
 }  // namespace
